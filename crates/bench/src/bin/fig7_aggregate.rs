@@ -1,20 +1,23 @@
 //! Figure 7 — aggregate (heat-map) queries: worker-side partial
-//! aggregation vs shipping all matches to the coordinator.
+//! aggregation vs shipping all matches to the client.
 //!
-//! Both strategies produce identical bucket counts; partial aggregation
-//! moves one counts vector per worker instead of every matching
-//! observation, so its traffic is (near-)independent of the data volume
-//! while ship-all grows linearly with it.
+//! Both strategies produce identical bucket counts. Partial aggregation
+//! is the cluster's heat-map: each worker ships its occupied buckets'
+//! counts, so traffic is (near-)independent of the data volume. Ship-all
+//! is composed on the client: a strict full-extent range query pulls
+//! every matching observation, which the client buckets itself, so its
+//! traffic grows linearly with the data.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig7_aggregate
 //! ```
 
+use stcam::Cluster;
 use stcam_bench::{
     fmt_count, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed,
     window_secs, Table,
 };
-use stcam_geo::GridSpec;
+use stcam_geo::{BBox, GridSpec, TimeInterval};
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
@@ -53,7 +56,7 @@ fn main() {
         let (shipall_result, shipall_s) = timed(|| {
             let mut last = Vec::new();
             for _ in 0..REPEATS {
-                last = cluster.heatmap_ship_all(&buckets, window).expect("heatmap");
+                last = ship_all(&cluster, extent, &buckets, window);
             }
             last
         });
@@ -73,4 +76,16 @@ fn main() {
         cluster.shutdown();
     }
     table.print();
+}
+
+/// The ship-all baseline: fetch every observation in `extent` × `window`
+/// with a strict range query and bucket them on the client.
+fn ship_all(cluster: &Cluster, extent: BBox, buckets: &GridSpec, window: TimeInterval) -> Vec<u64> {
+    let rows = cluster.range_query(extent, window).expect("range");
+    let mut counts = vec![0u64; buckets.cell_count() as usize];
+    for o in &rows {
+        let cell = buckets.cell_of_clamped(o.position);
+        counts[(cell.row * buckets.cols() + cell.col) as usize] += 1;
+    }
+    counts
 }

@@ -7,11 +7,11 @@
 //! request bytes up and result bytes down.
 //!
 //! Two regression gates ride on the accounting (skip with
-//! `TAB2_NO_ASSERT=1`): the count-pushdown ship-all heat-map must stay
-//! at least 10× under its pre-pushdown 15.5 MB/op baseline, and no
-//! single response frame — page pulls included — may exceed the paging
-//! bound. Environment knobs for CI smoke runs: `TAB2_ARCHIVE` (default
-//! 200000) and `TAB2_OPS` (default 50).
+//! `TAB2_NO_ASSERT=1`): the partial-aggregation heat-map must stay at
+//! least 10× under the 15.5 MB/op that shipping every row cost before
+//! count pushdown, and no single response frame — page pulls included —
+//! may exceed the paging bound. Environment knobs for CI smoke runs:
+//! `TAB2_ARCHIVE` (default 200000) and `TAB2_OPS` (default 50).
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab2_comm_cost
@@ -31,8 +31,9 @@ use stcam_net::FabricStats;
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
 
-/// Pre-pushdown ship-all cost (KB/op, r=0) recorded in EXPERIMENTS.md —
-/// the baseline the ≥ 10× reduction gate measures against.
+/// Pre-pushdown heat-map cost (KB/op, r=0: every matching row shipped)
+/// recorded in EXPERIMENTS.md — the baseline the ≥ 10× reduction gate
+/// measures against.
 const SHIP_ALL_BASELINE_KB: f64 = 15.5 * 1024.0;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -168,21 +169,6 @@ fn main() {
                 }
             },
         );
-        // Ship-all used to be a plain range query (every observation
-        // crossed the wire); it now pushes per-cell counting down to the
-        // workers and ships occupied-cell counts only, booked under its
-        // own "heatmap_ship_all" op so the reduction is gateable.
-        measure(
-            "heatmap 64×64 (ship-all)",
-            &cluster,
-            &["heatmap_ship_all"],
-            ops_n,
-            &mut || {
-                for _ in 0..ops_n {
-                    cluster.heatmap_ship_all(&buckets, window).expect("heatmap");
-                }
-            },
-        );
         measure(
             "top-cells 64×64 k=16",
             &cluster,
@@ -254,8 +240,7 @@ fn main() {
     println!(
         "\n(r = replication factor; replication multiplies ingest traffic only.\n\
          KB up/down is the executor's request/result split — fabric totals also\n\
-         include ingest routing and replica forwarding. Ship-all now pushes\n\
-         per-cell counting down to the workers, so it ships counts, not rows)"
+         include ingest routing and replica forwarding)"
     );
 
     let json_rows = |rows: &[Row]| -> Vec<Value> {
@@ -279,29 +264,29 @@ fn main() {
             })
             .collect()
     };
-    let ship_all_kb = r0
+    let heatmap_kb = r0
         .iter()
-        .find(|r| r.label.contains("ship-all"))
+        .find(|r| r.label.starts_with("heatmap"))
         .map(|r| r.kb)
-        .expect("ship-all row");
+        .expect("heatmap row");
     let max_resp = max_resp_r0.max(max_resp_r2);
     let mut report = Report::new("tab2_comm_cost");
     report
         .set("workers", WORKERS)
         .set("archive", archive)
         .set("ops", ops_n)
-        .set("ship_all_kb_per_op", ship_all_kb)
+        .set("heatmap_partial_kb_per_op", heatmap_kb)
         .set("max_response_bytes", max_resp)
         .set("replication_0", json_rows(&r0))
         .set("replication_2", json_rows(&r2));
     report.emit();
 
     if gate {
-        // Count pushdown must keep ship-all at least 10× under the
+        // Count pushdown must keep the heat-map at least 10× under the
         // pre-pushdown baseline (row shipping: 15.5 MB/op at r=0).
         assert!(
-            ship_all_kb <= SHIP_ALL_BASELINE_KB / 10.0,
-            "ship-all bytes regression: {ship_all_kb:.1} KB/op (> {:.1} KB)",
+            heatmap_kb <= SHIP_ALL_BASELINE_KB / 10.0,
+            "heat-map bytes regression: {heatmap_kb:.1} KB/op (> {:.1} KB)",
             SHIP_ALL_BASELINE_KB / 10.0
         );
         // Paging must bound every response frame, page pulls included.
@@ -310,7 +295,7 @@ fn main() {
             "a {max_resp}-byte response frame escaped paging"
         );
         println!(
-            "comm gates passed: ship-all {ship_all_kb:.1} KB/op (<= {:.1}), \
+            "comm gates passed: heat-map {heatmap_kb:.1} KB/op (<= {:.1}), \
              max response frame {max_resp} B (<= {})",
             SHIP_ALL_BASELINE_KB / 10.0,
             stcam::paging::PAGE_MAX_BYTES

@@ -286,12 +286,10 @@ impl Cluster {
         let mut handles = Vec::with_capacity(config.workers);
         for &id in &worker_ids {
             let endpoint = fabric.register(id);
-            let replicas = partition.successors(id, config.replication);
             handles.push(Worker::spawn(
                 endpoint,
                 WorkerConfig {
                     index: index_config.clone(),
-                    replicas,
                     read_threads: config.read_concurrency,
                 },
             ));
@@ -358,16 +356,6 @@ impl Cluster {
         self.coordinator.lock().ingest(batch)
     }
 
-    /// Legacy fire-and-forget ingest: no acknowledgement, returns the
-    /// number *routed* (see [`Coordinator::ingest_unacked`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::ingest_unacked`].
-    pub fn ingest_unacked(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        self.coordinator.lock().ingest_unacked(batch)
-    }
-
     /// Barrier: returns once all previously ingested traffic is indexed.
     ///
     /// # Errors
@@ -401,7 +389,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::range_query`].
+    /// See [`QueryPlane::range_query_mode`].
     pub fn range_query(
         &self,
         region: BBox,
@@ -416,7 +404,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::knn_query`].
+    /// See [`QueryPlane::knn_query_mode`].
     pub fn knn_query(
         &self,
         at: Point,
@@ -432,7 +420,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::knn_broadcast`].
+    /// See [`QueryPlane::knn_broadcast_mode`].
     pub fn knn_broadcast(
         &self,
         at: Point,
@@ -449,7 +437,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::heatmap`].
+    /// See [`QueryPlane::heatmap_mode`].
     pub fn heatmap(
         &self,
         buckets: &GridSpec,
@@ -465,7 +453,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::top_cells`].
+    /// See [`QueryPlane::top_cells_mode`].
     pub fn top_cells(
         &self,
         buckets: &GridSpec,
@@ -475,19 +463,6 @@ impl Cluster {
         self.plane
             .top_cells_mode(QueryMode::Strict, buckets, window, k)
             .map(|d| d.value)
-    }
-
-    /// Ship-all aggregate baseline (lock-free).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::heatmap_ship_all`].
-    pub fn heatmap_ship_all(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        self.plane.heatmap_ship_all(buckets, window)
     }
 
     /// Registers (or replaces) a tenant's admission budget. Queries
@@ -640,7 +615,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::range_query_filtered`].
+    /// See [`QueryPlane::range_query_filtered_mode`].
     pub fn range_query_filtered(
         &self,
         region: BBox,
@@ -757,7 +732,7 @@ impl Cluster {
     }
 
     /// Re-partitions by measured load and migrates the moved shards (see
-    /// [`Coordinator::rebalance`]). Recreate any [`Ingestor`]s afterwards.
+    /// [`Coordinator::rebalance`]). [`Ingestor`]s re-route by themselves.
     ///
     /// # Errors
     ///
@@ -921,9 +896,9 @@ impl Cluster {
     }
 
     /// Failure injection: replaces the fabric-wide message drop
-    /// probability at runtime (`0.0` restores a reliable network). The
-    /// acked ingest path retransmits through the loss; the legacy
-    /// [`ingest_unacked`](Self::ingest_unacked) path loses traffic.
+    /// probability at runtime (`0.0` restores a reliable network). Acked
+    /// ingest retransmits through the loss, and idempotent reads retry
+    /// lost sub-queries within their attempt budget.
     ///
     /// # Panics
     ///
@@ -1050,17 +1025,22 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_partial_equals_ship_all() {
+    fn heatmap_partial_equals_oracle() {
         let cluster = Cluster::launch(test_config(3)).unwrap();
         let batch: Vec<Observation> = (0..400)
             .map(|i| obs(i, 0, (i as f64 * 13.0) % 1600.0, (i as f64 * 7.0) % 1600.0))
             .collect();
-        cluster.ingest(batch).unwrap();
+        cluster.ingest(batch.clone()).unwrap();
         cluster.flush().unwrap();
         let buckets = GridSpec::covering(extent(), 200.0);
         let fast = cluster.heatmap(&buckets, window_all()).unwrap();
-        let slow = cluster.heatmap_ship_all(&buckets, window_all()).unwrap();
-        assert_eq!(fast, slow);
+        // Oracle: bucket the ingested observations locally.
+        let mut oracle = vec![0u64; buckets.cell_count() as usize];
+        for o in &batch {
+            let cell = buckets.cell_of(o.position).expect("inside extent");
+            oracle[(cell.row * buckets.cols() + cell.col) as usize] += 1;
+        }
+        assert_eq!(fast, oracle);
         assert_eq!(fast.iter().sum::<u64>(), 400);
         cluster.shutdown();
     }

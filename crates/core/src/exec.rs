@@ -17,19 +17,20 @@
 //! executed by the worker. The executor therefore retries **only**
 //! operations that declare themselves idempotent
 //! ([`DistributedOp::idempotent`]) — pure reads plus writes that are safe
-//! to apply twice (flush pings, eviction, continuous-query registration).
-//! Migration steps (`extract`/`adopt`/`promote`) never retry: a repeated
-//! extract after a lost reply would discard data. Retries are
+//! to apply twice (flush pings, eviction, continuous-query registration,
+//! promotion, repair chunks). The destructive migration step
+//! ([`ExtractRegionOp`]) never retries: a repeated extract after a lost
+//! reply would discard data. Retries are
 //! deterministic: a fixed attempt budget with linear backoff, counted in
 //! [`OpStats::retries`].
 //!
 //! # Adding a new operation
 //!
-//! 1. Add the `Request`/`Response` message pair in
-//!    [`protocol`](crate::protocol) and a worker handler row in the
-//!    worker's dispatch table.
+//! 1. Add the `Request`/`Response` message pair in the `protocol`
+//!    module and a worker handler row in the worker's dispatch table.
 //! 2. Implement [`DistributedOp`] (targets / request / decode / merge).
-//! 3. Call [`Executor::execute`] from a thin coordinator wrapper.
+//! 3. Call [`Executor::execute`] from the query plane (reads) or the
+//!    coordinator (control actions).
 //!
 //! The executor itself needs no changes — see [`TopCellsOp`] for a
 //! complete example.
@@ -1580,61 +1581,6 @@ impl DistributedOp for TopCellsOp {
     }
 }
 
-/// The former "ship-all" heat-map baseline, now riding the universal
-/// count pushdown: instead of fetching every matching observation and
-/// bucketing at the caller (megabytes per query), each worker ships
-/// *every occupied bucket's* count — sparse, untruncated — and the merge
-/// sums them into the dense grid. Same output as [`HeatmapOp`]; kept as
-/// a distinct operation so the communication experiment can account the
-/// unaggregated-transfer strategy separately from the dense partials.
-#[derive(Debug, Clone, Copy)]
-pub struct ShipAllCountsOp {
-    /// Aggregation buckets.
-    pub buckets: GridSpecMsg,
-    /// Temporal predicate.
-    pub window: TimeInterval,
-}
-
-impl DistributedOp for ShipAllCountsOp {
-    type Partial = Vec<(u32, u64)>;
-    type Output = Vec<u64>;
-    fn name(&self) -> &'static str {
-        "heatmap_ship_all"
-    }
-    fn idempotent(&self) -> bool {
-        true
-    }
-    fn replica_readable(&self) -> bool {
-        true
-    }
-    fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.buckets.to_grid().extent())
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::TopCells {
-            buckets: self.buckets,
-            window: self.window,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        let cells = want_cell_counts(response)?;
-        let limit = self.buckets.cols as u64 * self.buckets.rows as u64;
-        if cells.iter().any(|&(idx, _)| idx as u64 >= limit) {
-            return Err(StcamError::Remote("bucket index out of range".into()));
-        }
-        Ok(cells)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<u64> {
-        let mut total = vec![0u64; self.buckets.cols as usize * self.buckets.rows as usize];
-        for (_, cells) in partials {
-            for (idx, count) in cells {
-                total[idx as usize] += count;
-            }
-        }
-        total
-    }
-}
-
 /// Cluster-wide retention sweep. Idempotent: evicting before the same
 /// cutoff twice is a no-op. Carries the issuer's routing-plan epoch so
 /// workers can fence sweeps from a stale control plane.
@@ -1671,7 +1617,7 @@ impl DistributedOp for EvictOp {
 }
 
 /// Control-plane census sweep: collects every alive worker's
-/// [`CensusReport`] — installed route epoch, owned cells, replica-log
+/// [`CensusReport`](crate::CensusReport) — installed route epoch, owned cells, replica-log
 /// keys, and standing registrations. Consumed via [`Executor::run`] so a
 /// reconstructing coordinator can use whatever subset of the roster
 /// answers.
@@ -1841,34 +1787,6 @@ impl DistributedOp for ExtractRegionOp {
     fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
         partials.into_iter().flat_map(|(_, obs)| obs).collect()
     }
-}
-
-/// Shard migration, adopt side: hand a batch to its new owner. **Not**
-/// idempotent — a retry after a lost reply would duplicate the batch.
-#[derive(Debug, Clone)]
-pub struct AdoptOp {
-    /// The adopting worker.
-    pub target: NodeId,
-    /// The migrated observations.
-    pub batch: Vec<Observation>,
-}
-
-impl DistributedOp for AdoptOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "adopt"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Adopt(self.batch.clone())
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
 }
 
 /// Failover: tell a successor to absorb its replica log of `failed`.
@@ -2480,9 +2398,9 @@ mod tests {
 
     #[test]
     fn non_idempotent_op_is_never_retried() {
-        // Nobody serves NodeId(1): every attempt times out. Adopt must
-        // fail on the first timeout without retrying (a retry could
-        // duplicate the batch).
+        // Nobody serves NodeId(1): every attempt times out. Extract must
+        // fail on the first timeout without retrying (a retry after a
+        // lost reply would discard the first extraction's data).
         let fabric = Fabric::new(LinkModel::instant());
         let _worker_ep = fabric.register(NodeId(1));
         let exec = Executor::new(
@@ -2495,15 +2413,15 @@ mod tests {
         );
         let (partition, alive) = one_worker_world();
         let result = exec.execute(
-            AdoptOp {
+            ExtractRegionOp {
                 target: NodeId(1),
-                batch: vec![obs(0, 1.0)],
+                region: BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
             },
             &partition,
             &alive,
         );
         assert!(matches!(result, Err(StcamError::Net(NetError::Timeout))));
-        let stats = exec.stats_for("adopt");
+        let stats = exec.stats_for("extract_region");
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.sub_queries, 1);
         assert_eq!(stats.failures, 1);
@@ -2587,11 +2505,11 @@ mod tests {
         // Writes and probes never read replicas.
         assert!(!FlushOp.replica_readable());
         assert!(!ProbeOp.replica_readable());
-        let adopt = AdoptOp {
+        let extract = ExtractRegionOp {
             target: NodeId(1),
-            batch: vec![],
+            region,
         };
-        assert!(!adopt.replica_readable());
+        assert!(!extract.replica_readable() && !extract.idempotent());
     }
 
     #[test]

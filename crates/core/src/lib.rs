@@ -21,7 +21,7 @@
 //! * [`Worker`] — owns the `stcam-index` shard for its cells, answers
 //!   sub-queries through a table-driven per-operation dispatch (with
 //!   per-op serve counters), evaluates continuous-query predicates at
-//!   ingest, and forwards replicas to its ring successors.
+//!   ingest, and holds replica logs written by the ingesting endpoint.
 //! * [`exec`] — the typed scatter/gather layer. Every distributed
 //!   operation is a [`exec::DistributedOp`] (targets / request / decode /
 //!   merge); the [`exec::Executor`] owns parallel fan-out, per-operation
@@ -30,7 +30,7 @@
 //!   per-operation telemetry ([`OpStats`]: sub-queries, retries, wire
 //!   bytes, scatter/merge latency split).
 //! * [`Coordinator`] — the mutex-guarded **control plane**: routes
-//!   ingest batches, chains extract/adopt migrations for rebalance,
+//!   acked ingest batches, streams cell migrations for rebalance,
 //!   turns probe failures into failover, and keeps the continuous-query
 //!   registry. After every membership or partition mutation it
 //!   *publishes* an immutable, epoch-tagged [`QueryPlan`] snapshot to

@@ -42,7 +42,7 @@ use crate::admission::{AdmissionControl, AdmissionTicket, QueryCtx};
 use crate::error::StcamError;
 use crate::exec::{
     Completeness, Degraded, Executor, HeatmapOp, KnnBroadcastOp, KnnPhase1Op, KnnPhase2Op, OpStats,
-    QueryMode, RangeFilteredOp, RangeOp, ShipAllCountsOp, TopCellsOp,
+    QueryMode, RangeFilteredOp, RangeOp, TopCellsOp,
 };
 use crate::health::HealthView;
 use crate::partition::PartitionMap;
@@ -190,11 +190,16 @@ impl QueryPlane {
 
     // ------------------------------------------------------------------
     // Queries — each method snapshots the plan once and runs every
-    // phase of the operation against that same snapshot.
+    // phase of the operation against that same snapshot, on the
+    // executor's degraded path: per-shard replica failover, then a merge
+    // over whatever survived. `QueryMode` decides what an incomplete
+    // answer becomes: `Strict` converts it into
+    // `StcamError::PartialFailure`, `BestEffort` hands it to the caller
+    // with its `Completeness` account.
     // ------------------------------------------------------------------
 
-    /// All observations in `region` × `window` (see
-    /// [`Coordinator::range_query_mode`](crate::Coordinator::range_query_mode)).
+    /// All observations in `region` × `window`, merged across shards and
+    /// sorted by id.
     ///
     /// # Errors
     ///
@@ -244,10 +249,15 @@ impl QueryPlane {
         finish(mode, d)
     }
 
-    /// Two-phase pruned kNN (see
-    /// [`Coordinator::knn_query_mode`](crate::Coordinator::knn_query_mode)).
-    /// Both phases run against one plan snapshot, so an interleaved
-    /// failover cannot split the query across two routing views.
+    /// The `k` observations nearest to `at` within `window`, via two-phase
+    /// pruned search — two composed ops: the owner of `at`'s cell answers
+    /// first ([`KnnPhase1Op`]), its k-th distance bounds the disk that
+    /// phase two scatters to ([`KnnPhase2Op`]). The completeness accounts
+    /// of both phases are folded together; a degraded kNN is *not* a
+    /// subset of the true answer (`subset = false`), since a lost shard
+    /// can promote farther neighbours into the top-k. Both phases run
+    /// against one plan snapshot, so an interleaved failover cannot split
+    /// the query across two routing views.
     ///
     /// # Errors
     ///
@@ -314,8 +324,8 @@ impl QueryPlane {
         )
     }
 
-    /// Broadcast kNN baseline (see
-    /// [`Coordinator::knn_broadcast_mode`](crate::Coordinator::knn_broadcast_mode)).
+    /// The naive kNN evaluation — broadcast to every worker with no
+    /// pruning bound. Baseline for the kNN experiment.
     ///
     /// # Errors
     ///
@@ -343,8 +353,9 @@ impl QueryPlane {
         finish(mode, d)
     }
 
-    /// Partial-aggregation heat-map (see
-    /// [`Coordinator::heatmap_mode`](crate::Coordinator::heatmap_mode)).
+    /// Per-bucket observation counts with worker-side partial aggregation:
+    /// each worker reduces its shard to sparse bucket counts, the merge
+    /// sums them into the dense grid.
     ///
     /// # Errors
     ///
@@ -368,8 +379,10 @@ impl QueryPlane {
         finish(mode, d)
     }
 
-    /// The `k` densest buckets (see
-    /// [`Coordinator::top_cells_mode`](crate::Coordinator::top_cells_mode)).
+    /// The `k` densest buckets of `buckets` × `window`, ranked by count
+    /// (ties by cell index). Workers ship only their occupied buckets. A
+    /// degraded ranking is not a subset of the true one (`subset =
+    /// false`): a lost shard's counts can change which cells rank.
     ///
     /// # Errors
     ///
@@ -395,8 +408,8 @@ impl QueryPlane {
         finish(mode, d)
     }
 
-    /// Class-filtered range query (see
-    /// [`Coordinator::range_query_filtered_mode`](crate::Coordinator::range_query_filtered_mode)).
+    /// As [`range_query_mode`](Self::range_query_mode) with an
+    /// entity-class filter pushed down to the workers ("trucks inside A").
     ///
     /// # Errors
     ///
@@ -449,34 +462,6 @@ impl QueryPlane {
             &plan.alive,
         );
         finish(mode, d)
-    }
-
-    /// The "ship-all" aggregate strategy, now riding the universal count
-    /// pushdown: workers ship every occupied bucket's count (sparse,
-    /// untruncated) and the caller sums them into the dense grid —
-    /// observations themselves never cross the wire. Same result as
-    /// [`heatmap_mode`](Self::heatmap_mode); kept as a separately
-    /// accounted operation (`"heatmap_ship_all"`) so the communication
-    /// experiment can compare transfer strategies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-query failures.
-    pub fn heatmap_ship_all(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            ShipAllCountsOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        Ok(finish(QueryMode::Strict, d)?.value)
     }
 
     // ------------------------------------------------------------------

@@ -76,26 +76,17 @@ impl Wire for GridSpecMsg {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Store these observations as shard primary (and replicate them).
-    Ingest(Vec<Observation>),
-    /// Store these observations as a replica for primary `primary`.
-    Replicate {
-        /// The worker whose shard these observations belong to.
-        primary: NodeId,
-        /// The replicated observations.
-        batch: Vec<Observation>,
-    },
-    /// Sequenced, acknowledged ingest: the reliable mirror of `Ingest`.
+    /// Sequenced, acknowledged ingest: the cluster's one write path.
     ///
     /// The `(sender, seq)` pair identifies the batch for retransmission
     /// dedup: the worker remembers recent sequence numbers per sender and
     /// answers a retransmitted batch from that memory without re-applying
     /// it. `epoch` is the routing-plan epoch the sender routed under; a
     /// worker whose own plan disagrees about ownership answers with
-    /// [`Response::IngestNack`] naming the misrouted observations. Unlike
-    /// `Ingest`, the worker does **not** replicate onward — the sender
-    /// performs replication itself (via `ReplicateSeq`) so that an ack
-    /// can certify durability.
+    /// [`Response::IngestNack`] naming the misrouted observations. The
+    /// worker does **not** replicate onward — the sender performs
+    /// replication itself (via `ReplicateSeq`) so that an ack can certify
+    /// durability.
     IngestSeq {
         /// The ingesting endpoint (an ingestor or the coordinator).
         sender: NodeId,
@@ -106,9 +97,9 @@ pub enum Request {
         /// The observations, all believed owned by the addressee.
         batch: Vec<Observation>,
     },
-    /// Sequenced, acknowledged replica write: the reliable mirror of
-    /// `Replicate`, sent by the *ingesting* endpoint (not the primary) to
-    /// each ring successor of `primary` before the batch is acknowledged.
+    /// Sequenced, acknowledged replica write, sent by the *ingesting*
+    /// endpoint (not the primary) to each ring successor of `primary`
+    /// before the batch is acknowledged.
     /// Deduplicated by `(sender, seq)` exactly like `IngestSeq`, and
     /// answered with [`Response::IngestAck`].
     ReplicateSeq {
@@ -181,16 +172,6 @@ pub enum Request {
     },
     /// Remove a standing query.
     UnregisterContinuous(ContinuousQueryId),
-    /// Return every observation this worker holds as primary (failover
-    /// export) — the answering worker is the *replica*, `of` the failed
-    /// primary.
-    SnapshotReplica {
-        /// The failed primary whose replicated data is requested.
-        of: NodeId,
-    },
-    /// Adopt these observations into the local primary shard (failover
-    /// import). Unlike `Ingest` this does not re-replicate.
-    Adopt(Vec<Observation>),
     /// Report local statistics.
     Stats,
     /// Drop observations older than the timestamp (retention sweep).
@@ -204,7 +185,8 @@ pub enum Request {
         epoch: u64,
     },
     /// Failover: absorb the local replica log held for `failed` into the
-    /// primary shard and re-replicate it onward. The reply is `Ack`.
+    /// primary shard. The reply is `Ack`; the replication factor is
+    /// restored afterwards by the anti-entropy repair pass.
     Promote {
         /// The failed worker being taken over.
         failed: NodeId,
@@ -221,8 +203,8 @@ pub enum Request {
     /// workers are the ground truth, the coordinator only a cache.
     Census,
     /// Shard migration: remove and return every observation positioned in
-    /// `region` (all retained time). The coordinator ships the result to
-    /// the region's new owner via `Adopt` during online rebalancing.
+    /// `region` (all retained time). Online rebalancing drains the result
+    /// into the region's new owner with `Repair`.
     ExtractRegion {
         /// The spatial region being migrated away.
         region: BBox,
@@ -376,8 +358,6 @@ impl Request {
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Ingest(_) => "ingest",
-            Request::Replicate { .. } => "replicate",
             Request::IngestSeq { .. } => "ingest_seq",
             Request::ReplicateSeq { .. } => "replicate_seq",
             Request::RouteUpdate { .. } => "route_update",
@@ -386,8 +366,6 @@ impl Request {
             Request::Heatmap { .. } => "heatmap",
             Request::RegisterContinuous { .. } => "register_continuous",
             Request::UnregisterContinuous(_) => "unregister_continuous",
-            Request::SnapshotReplica { .. } => "snapshot_replica",
-            Request::Adopt(_) => "adopt",
             Request::Stats => "stats",
             Request::EvictBefore { .. } => "evict_before",
             Request::Promote { .. } => "promote",
@@ -762,8 +740,10 @@ pub enum Response {
         page: u32,
         /// Total pages in the result.
         pages: u32,
-        /// Payload encoding: [`paging::PAGE_OBSERVATIONS`] or
-        /// [`paging::PAGE_CELL_COUNTS`] (see [`paging`](crate::paging)).
+        /// Payload encoding:
+        /// [`PAGE_OBSERVATIONS`](crate::paging::PAGE_OBSERVATIONS) or
+        /// [`PAGE_CELL_COUNTS`](crate::paging::PAGE_CELL_COUNTS) (see
+        /// [`paging`](crate::paging)).
         kind: u8,
         /// The page's standalone-encoded rows.
         payload: Vec<u8>,
@@ -773,15 +753,14 @@ pub enum Response {
 }
 
 const REQ_PING: u8 = 0;
-const REQ_INGEST: u8 = 1;
-const REQ_REPLICATE: u8 = 2;
+// Tags 1, 2, 8 and 9 are retired. Never reassign them: the surviving
+// tags keep their values, and a frame from an older peer using a retired
+// tag fails to decode instead of meaning something else.
 const REQ_RANGE: u8 = 3;
 const REQ_KNN: u8 = 4;
 const REQ_HEATMAP: u8 = 5;
 const REQ_REGISTER: u8 = 6;
 const REQ_UNREGISTER: u8 = 7;
-const REQ_SNAPSHOT: u8 = 8;
-const REQ_ADOPT: u8 = 9;
 const REQ_STATS: u8 = 10;
 const REQ_EVICT: u8 = 11;
 const REQ_PROMOTE: u8 = 12;
@@ -805,15 +784,6 @@ impl Wire for Request {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             Request::Ping => buf.put_u8(REQ_PING),
-            Request::Ingest(batch) => {
-                buf.put_u8(REQ_INGEST);
-                batch::encode_batch(batch, buf);
-            }
-            Request::Replicate { primary, batch } => {
-                buf.put_u8(REQ_REPLICATE);
-                primary.0.encode(buf);
-                batch::encode_batch(batch, buf);
-            }
             Request::Range {
                 region,
                 window,
@@ -856,14 +826,6 @@ impl Wire for Request {
             Request::UnregisterContinuous(id) => {
                 buf.put_u8(REQ_UNREGISTER);
                 id.0.encode(buf);
-            }
-            Request::SnapshotReplica { of } => {
-                buf.put_u8(REQ_SNAPSHOT);
-                of.0.encode(buf);
-            }
-            Request::Adopt(batch) => {
-                buf.put_u8(REQ_ADOPT);
-                batch::encode_batch(batch, buf);
             }
             Request::Stats => buf.put_u8(REQ_STATS),
             Request::EvictBefore { cutoff, epoch } => {
@@ -985,8 +947,6 @@ impl Wire for Request {
 
     fn size_hint(&self) -> usize {
         1 + match self {
-            Request::Ingest(batch) | Request::Adopt(batch) => batch::batch_size_hint(batch),
-            Request::Replicate { batch, .. } => 5 + batch::batch_size_hint(batch),
             Request::IngestSeq { batch, .. } => 23 + batch::batch_size_hint(batch),
             Request::ReplicateSeq { batch, .. } => 28 + batch::batch_size_hint(batch),
             Request::RouteUpdate { cells, .. } => 41 + cells.size_hint(),
@@ -1020,11 +980,6 @@ impl Request {
     fn decode_tagged<B: Buf>(tag: u8, buf: &mut B) -> Result<Self, DecodeError> {
         Ok(match tag {
             REQ_PING => Request::Ping,
-            REQ_INGEST => Request::Ingest(batch::decode_batch(buf)?),
-            REQ_REPLICATE => Request::Replicate {
-                primary: NodeId(u32::decode(buf)?),
-                batch: batch::decode_batch(buf)?,
-            },
             REQ_RANGE => Request::Range {
                 region: BBox::decode(buf)?,
                 window: TimeInterval::decode(buf)?,
@@ -1047,10 +1002,6 @@ impl Request {
                 notify: NodeId(u32::decode(buf)?),
             },
             REQ_UNREGISTER => Request::UnregisterContinuous(ContinuousQueryId(u64::decode(buf)?)),
-            REQ_SNAPSHOT => Request::SnapshotReplica {
-                of: NodeId(u32::decode(buf)?),
-            },
-            REQ_ADOPT => Request::Adopt(batch::decode_batch(buf)?),
             REQ_STATS => Request::Stats,
             REQ_EVICT => Request::EvictBefore {
                 cutoff: stcam_geo::Timestamp::decode(buf)?,
@@ -1345,11 +1296,6 @@ mod tests {
     fn all_requests_round_trip() {
         let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10));
         round_trip_req(Request::Ping);
-        round_trip_req(Request::Ingest(vec![obs(), obs()]));
-        round_trip_req(Request::Replicate {
-            primary: NodeId(3),
-            batch: vec![obs()],
-        });
         round_trip_req(Request::Range {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(5.0, 5.0)),
             window,
@@ -1392,8 +1338,6 @@ mod tests {
             notify: NodeId(0),
         });
         round_trip_req(Request::UnregisterContinuous(ContinuousQueryId(9)));
-        round_trip_req(Request::SnapshotReplica { of: NodeId(2) });
-        round_trip_req(Request::Adopt(vec![obs()]));
         round_trip_req(Request::Stats);
         round_trip_req(Request::EvictBefore {
             cutoff: Timestamp::from_secs(100),
@@ -1720,11 +1664,6 @@ mod tests {
         };
         let all = [
             Request::Ping,
-            Request::Ingest(vec![]),
-            Request::Replicate {
-                primary: NodeId(1),
-                batch: vec![],
-            },
             Request::Range {
                 region,
                 window,
@@ -1750,8 +1689,6 @@ mod tests {
                 notify: NodeId(0),
             },
             Request::UnregisterContinuous(ContinuousQueryId(1)),
-            Request::SnapshotReplica { of: NodeId(1) },
-            Request::Adopt(vec![]),
             Request::Stats,
             Request::EvictBefore {
                 cutoff: Timestamp::ZERO,
@@ -1840,10 +1777,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(matches!(
-            decode_from_slice::<Request>(&[200]),
-            Err(DecodeError::InvalidDiscriminant { .. })
-        ));
+        // 200 was never assigned; 1, 2, 8 and 9 are retired request tags.
+        for tag in [200u8, 1, 2, 8, 9] {
+            assert!(matches!(
+                decode_from_slice::<Request>(&[tag]),
+                Err(DecodeError::InvalidDiscriminant { .. })
+            ));
+        }
         assert!(matches!(
             decode_from_slice::<Response>(&[200]),
             Err(DecodeError::InvalidDiscriminant { .. })

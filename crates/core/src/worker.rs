@@ -93,9 +93,6 @@ impl SeqMemory {
 pub struct WorkerConfig {
     /// Configuration of the local shard index.
     pub index: IndexConfig,
-    /// Ring successors that receive replicas of this worker's ingest
-    /// (empty disables replication).
-    pub replicas: Vec<NodeId>,
     /// Size of the read executor pool the serving loop runs: read-only
     /// sub-queries are answered concurrently from index snapshots by this
     /// many threads. `0` disables the pool and serves everything
@@ -350,9 +347,11 @@ impl Drop for ReadPool {
     }
 }
 
-/// A worker node: owns the local shard, answers sub-queries from the
-/// coordinator, evaluates continuous-query predicates at ingest time, and
-/// forwards replicas to its ring successors.
+/// A worker node: owns the local shard and the replica logs it holds for
+/// other primaries, answers sub-queries from the coordinator, and
+/// evaluates continuous-query predicates at ingest time. Replica copies
+/// are written by the ingesting endpoint (`ReplicateSeq`) and by repair,
+/// never forwarded by the worker itself.
 ///
 /// Normally driven via [`Worker::spawn`], which runs the serving loop on a
 /// dedicated thread until [`WorkerHandle::shutdown`] (or fabric crash).
@@ -365,8 +364,8 @@ pub struct Worker {
     index: StIndex,
     /// Append-only replica logs, one per primary this worker backs up.
     replica_logs: HashMap<NodeId, Vec<Observation>>,
-    /// Ids present in each replica log, so sequenced replica writes and
-    /// promote-time re-replication never append the same observation twice.
+    /// Ids present in each replica log, so retransmitted replica writes
+    /// and repair appends never add the same observation twice.
     replica_seen: HashMap<NodeId, HashSet<ObservationId>>,
     /// Standing-query registrations, bucketed by (coarse cell, class)
     /// so ingest-time matching is sub-linear in the registration count.
@@ -397,16 +396,12 @@ type Handler = fn(&mut Worker, Request) -> Response;
 /// request kind means adding exactly one row here plus its handler.
 const DISPATCH: &[(&str, Handler)] = &[
     ("ping", Worker::serve_ping),
-    ("ingest", Worker::serve_ingest),
-    ("replicate", Worker::serve_replicate),
     ("range", Worker::serve_range),
     ("knn", Worker::serve_knn),
     ("heatmap", Worker::serve_heatmap),
     ("top_cells", Worker::serve_top_cells),
     ("register_continuous", Worker::serve_register_continuous),
     ("unregister_continuous", Worker::serve_unregister_continuous),
-    ("snapshot_replica", Worker::serve_snapshot_replica),
-    ("adopt", Worker::serve_adopt),
     ("promote", Worker::serve_promote),
     ("extract_region", Worker::serve_extract_region),
     ("range_filtered", Worker::serve_range_filtered),
@@ -541,22 +536,6 @@ impl Worker {
         }
     }
 
-    /// Decodes and executes one envelope on the control lane (the
-    /// non-pooled path [`run`](Self::run) inlines; kept for tests that
-    /// drive a worker without a thread).
-    #[cfg(test)]
-    fn dispatch(&mut self, envelope: Envelope) {
-        match decode_from_slice::<Request>(&envelope.payload) {
-            Ok(request) => self.dispatch_decoded(envelope, request),
-            Err(e) => {
-                if envelope.kind == MessageKind::Request {
-                    let resp = Response::Error(format!("bad request: {e}"));
-                    let _ = self.endpoint.reply(&envelope, encode_to_vec(&resp));
-                }
-            }
-        }
-    }
-
     /// Executes a decoded request on the control lane and replies
     /// (paged when oversize).
     fn dispatch_decoded(&mut self, envelope: Envelope, request: Request) {
@@ -568,10 +547,11 @@ impl Worker {
 
     /// Executes one request against local state and produces the response.
     ///
-    /// Dispatch is table-driven by [`Request::op_name`] over [`DISPATCH`];
-    /// every served request increments that operation's serve counter.
-    /// Side-effecting requests (`Ingest`, `Promote`, `Adopt`) also emit
-    /// replica and notification traffic through the endpoint.
+    /// Dispatch is table-driven by [`Request::op_name`] over the
+    /// `DISPATCH` table; every served request increments that operation's
+    /// serve counter.
+    /// Sequenced ingest also emits standing-query notifications through
+    /// the endpoint; no request makes the worker send replica traffic.
     pub fn handle_request(&mut self, request: Request) -> Response {
         let name = request.op_name();
         match DISPATCH.iter().find(|(op, _)| *op == name) {
@@ -596,25 +576,9 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_ingest(&mut self, request: Request) -> Response {
-        let Request::Ingest(batch) = request else {
-            return Self::misrouted(&request);
-        };
-        self.ingest(batch);
-        Response::Ack
-    }
-
-    fn serve_replicate(&mut self, request: Request) -> Response {
-        let Request::Replicate { primary, batch } = request else {
-            return Self::misrouted(&request);
-        };
-        self.append_replica(primary, batch);
-        Response::Ack
-    }
-
     /// Appends `batch` to the replica log held for `primary`, skipping
-    /// observations already present (sender-side replication and
-    /// promote-time re-replication may both deliver the same data).
+    /// observations already present (a retransmitted replica write may
+    /// arrive under a new sequence number after a failover).
     fn append_replica(&mut self, primary: NodeId, batch: Vec<Observation>) {
         let log = self.replica_logs.entry(primary).or_default();
         let ids = self.replica_seen.entry(primary).or_default();
@@ -1005,21 +969,6 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_snapshot_replica(&mut self, request: Request) -> Response {
-        let Request::SnapshotReplica { of } = request else {
-            return Self::misrouted(&request);
-        };
-        Response::Observations(self.replica_logs.get(&of).cloned().unwrap_or_default())
-    }
-
-    fn serve_adopt(&mut self, request: Request) -> Response {
-        let Request::Adopt(batch) = request else {
-            return Self::misrouted(&request);
-        };
-        self.index.insert_batch(batch);
-        Response::Ack
-    }
-
     fn serve_promote(&mut self, request: Request) -> Response {
         let Request::Promote { failed, epoch } = request else {
             return Self::misrouted(&request);
@@ -1027,9 +976,10 @@ impl Worker {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
+        // No onward copy: the anti-entropy pass that follows every
+        // failover restores the replication factor against the new plan.
         let log = self.replica_logs.remove(&failed).unwrap_or_default();
         self.replica_seen.remove(&failed);
-        self.replicate(&log);
         // The same observations may already be primary here — a sender
         // whose ack from `failed` was lost retransmits to this worker
         // after failover. Promote through the seen-id filter so they
@@ -1232,30 +1182,6 @@ impl Worker {
         })
     }
 
-    fn ingest(&mut self, batch: Vec<Observation>) {
-        self.ingested_total += batch.len() as u64;
-        self.notify_continuous(&batch);
-        self.replicate(&batch);
-        self.index.insert_batch(batch);
-    }
-
-    /// Forwards a copy of `batch` to every replica successor (one-way:
-    /// ingest latency is not serialized behind replica acknowledgements;
-    /// the window of loss this leaves open is measured by the recovery
-    /// experiment).
-    fn replicate(&mut self, batch: &[Observation]) {
-        if batch.is_empty() || self.config.replicas.is_empty() {
-            return;
-        }
-        let message = encode_to_vec(&Request::Replicate {
-            primary: self.endpoint.id(),
-            batch: batch.to_vec(),
-        });
-        for &replica in &self.config.replicas {
-            let _ = self.endpoint.send(replica, message.clone());
-        }
-    }
-
     fn notify_continuous(&mut self, batch: &[Observation]) {
         if self.continuous.is_empty() {
             return;
@@ -1377,7 +1303,6 @@ mod tests {
             endpoint,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -1388,13 +1313,61 @@ mod tests {
         TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1_000))
     }
 
+    /// Sender id of the test seeding helpers (clear of every real role).
+    const SEED_SENDER: NodeId = NodeId(30_000);
+
+    /// A sequenced ingest request carrying `batch`, with a fresh sequence
+    /// number per call so no two seeds collide in the replay memory.
+    fn seed_request(batch: Vec<Observation>) -> Request {
+        static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
+        Request::IngestSeq {
+            sender: SEED_SENDER,
+            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
+            epoch: 0,
+            batch,
+        }
+    }
+
+    /// Asserts that a seeding request was acknowledged in full.
+    fn assert_acked(response: Response, count: usize) {
+        assert!(
+            matches!(response, Response::IngestAck { accepted, .. } if accepted as usize == count),
+            "expected an ack for {count} observations, got {response:?}"
+        );
+    }
+
+    /// Seeds the primary shard through the acked ingest path.
+    fn seed(worker: &mut Worker, batch: Vec<Observation>) -> Response {
+        worker.handle_request(seed_request(batch))
+    }
+
+    /// Seeds the replica log held for `primary` through the acked
+    /// replica-write path.
+    fn seed_replica(worker: &mut Worker, primary: NodeId, batch: Vec<Observation>) -> Response {
+        static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
+        worker.handle_request(Request::ReplicateSeq {
+            sender: SEED_SENDER,
+            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
+            primary,
+            batch,
+        })
+    }
+
+    /// The replica log held for `primary`, sorted by id.
+    fn replica_log(worker: &Worker, primary: NodeId) -> Vec<Observation> {
+        let mut log = worker
+            .replica_logs
+            .get(&primary)
+            .cloned()
+            .unwrap_or_default();
+        log.sort_by_key(|o| o.id);
+        log
+    }
+
     #[test]
     fn ingest_then_range() {
         let (_fabric, mut worker) = lone_worker();
-        assert_eq!(
-            worker.handle_request(Request::Ingest(vec![obs(0, 500, 10.0, 10.0)])),
-            Response::Ack
-        );
+        assert_acked(seed(&mut worker, vec![obs(0, 500, 10.0, 10.0)]), 1);
         let resp = worker.handle_request(Request::Range {
             region: BBox::around(Point::new(10.0, 10.0), 5.0),
             window: window_all(),
@@ -1410,10 +1383,10 @@ mod tests {
     #[test]
     fn knn_respects_max_distance() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 0, 10.0, 0.0),
-            obs(1, 0, 100.0, 0.0),
-        ]));
+        seed(
+            &mut worker,
+            vec![obs(0, 0, 10.0, 0.0), obs(1, 0, 100.0, 0.0)],
+        );
         let resp = worker.handle_request(Request::Knn {
             at: Point::new(0.0, 0.0),
             window: window_all(),
@@ -1430,63 +1403,9 @@ mod tests {
     }
 
     #[test]
-    fn replication_reaches_successors() {
-        let fabric = Fabric::new(LinkModel::instant());
-        let primary_ep = fabric.register(NodeId(1));
-        let replica_ep = fabric.register(NodeId(2));
-        let mut primary = Worker::new(
-            primary_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![NodeId(2)],
-                read_threads: 0,
-            },
-        );
-        let mut replica = Worker::new(
-            replica_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
-        primary.handle_request(Request::Ingest(vec![
-            obs(0, 0, 1.0, 1.0),
-            obs(1, 0, 2.0, 2.0),
-        ]));
-        // Deliver the replicate message by hand.
-        let env = replica
-            .endpoint
-            .recv_timeout(StdDuration::from_secs(1))
-            .unwrap();
-        replica.dispatch(env);
-        let stats = replica.stats();
-        assert_eq!(stats.replica_observations, 2);
-        assert_eq!(stats.primary_observations, 0);
-        // Snapshot exports exactly the replica log.
-        match replica.handle_request(Request::SnapshotReplica { of: NodeId(1) }) {
-            Response::Observations(log) => assert_eq!(log.len(), 2),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
-    #[test]
     fn promote_moves_replica_log_into_index() {
-        let fabric = Fabric::new(LinkModel::instant());
-        let ep = fabric.register(NodeId(2));
-        let _other = fabric.register(NodeId(3));
-        let mut worker = Worker::new(
-            ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![NodeId(3)],
-                read_threads: 0,
-            },
-        );
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(1),
-            batch: vec![obs(0, 0, 5.0, 5.0)],
-        });
+        let (_fabric, mut worker) = lone_worker();
+        seed_replica(&mut worker, NodeId(1), vec![obs(0, 0, 5.0, 5.0)]);
         assert_eq!(
             worker.handle_request(Request::Promote {
                 failed: NodeId(1),
@@ -1516,7 +1435,6 @@ mod tests {
             worker_ep,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -1528,10 +1446,13 @@ mod tests {
             },
             notify: NodeId(0),
         });
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 0, 10.0, 10.0),   // match
-            obs(1, 0, 500.0, 500.0), // outside region
-        ]));
+        seed(
+            &mut worker,
+            vec![
+                obs(0, 0, 10.0, 10.0),   // match
+                obs(1, 0, 500.0, 500.0), // outside region
+            ],
+        );
         let env = client.recv_timeout(StdDuration::from_secs(1)).unwrap();
         let notification: Notification = decode_from_slice(&env.payload).unwrap();
         assert_eq!(notification.query, ContinuousQueryId(7));
@@ -1539,18 +1460,19 @@ mod tests {
         assert_eq!(notification.matches[0].id.seq(), 0);
         // Unregister stops the stream.
         worker.handle_request(Request::UnregisterContinuous(ContinuousQueryId(7)));
-        worker.handle_request(Request::Ingest(vec![obs(2, 0, 10.0, 10.0)]));
+        seed(&mut worker, vec![obs(2, 0, 10.0, 10.0)]);
         assert!(client.recv_timeout(StdDuration::from_millis(50)).is_none());
     }
 
     #[test]
     fn eviction_trims_index_and_replica_logs() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![obs(0, 1_000, 1.0, 1.0)]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(9),
-            batch: vec![obs(1, 1_000, 2.0, 2.0), obs(2, 90_000, 2.0, 2.0)],
-        });
+        seed(&mut worker, vec![obs(0, 1_000, 1.0, 1.0)]);
+        seed_replica(
+            &mut worker,
+            NodeId(9),
+            vec![obs(1, 1_000, 2.0, 2.0), obs(2, 90_000, 2.0, 2.0)],
+        );
         worker.handle_request(Request::EvictBefore {
             cutoff: Timestamp::from_secs(60),
             epoch: 0,
@@ -1563,10 +1485,10 @@ mod tests {
     #[test]
     fn extract_region_removes_and_returns() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 0, 100.0, 100.0),
-            obs(1, 0, 900.0, 900.0),
-        ]));
+        seed(
+            &mut worker,
+            vec![obs(0, 0, 100.0, 100.0), obs(1, 0, 900.0, 900.0)],
+        );
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
         match worker.handle_request(Request::ExtractRegion { region }) {
             Response::Observations(moved) => {
@@ -1584,7 +1506,7 @@ mod tests {
         // Extraction must also release the ids from the ingest dedup set:
         // if the cell migrates back here later, the same observation has
         // to be accepted again rather than silently dropped.
-        worker.handle_request(Request::Ingest(vec![obs(0, 0, 100.0, 100.0)]));
+        seed(&mut worker, vec![obs(0, 0, 100.0, 100.0)]);
         assert_eq!(worker.stats().primary_observations, 2);
     }
 
@@ -1593,7 +1515,7 @@ mod tests {
         let (_fabric, mut worker) = lone_worker();
         let mut truck = obs(0, 0, 100.0, 100.0);
         truck.class = EntityClass::Truck;
-        worker.handle_request(Request::Ingest(vec![truck, obs(1, 0, 110.0, 110.0)]));
+        seed(&mut worker, vec![truck, obs(1, 0, 110.0, 110.0)]);
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
         match worker.handle_request(Request::RangeFiltered {
             region,
@@ -1626,11 +1548,6 @@ mod tests {
         use crate::protocol::GridSpecMsg;
         let all = [
             Request::Ping,
-            Request::Ingest(vec![]),
-            Request::Replicate {
-                primary: NodeId(1),
-                batch: vec![],
-            },
             Request::Range {
                 region: BBox::around(Point::ORIGIN, 1.0),
                 window: window_all(),
@@ -1670,8 +1587,6 @@ mod tests {
                 notify: NodeId(0),
             },
             Request::UnregisterContinuous(ContinuousQueryId(1)),
-            Request::SnapshotReplica { of: NodeId(1) },
-            Request::Adopt(vec![]),
             Request::Promote {
                 failed: NodeId(1),
                 epoch: 0,
@@ -1792,10 +1707,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(
-            source.handle_request(Request::Ingest(batch.clone())),
-            Response::Ack
-        );
+        assert_acked(seed(&mut source, batch.clone()), batch.len());
         let Response::SegmentDigests(digests) = source.handle_request(Request::SegmentDigest)
         else {
             panic!("expected segment digests");
@@ -1819,7 +1731,6 @@ mod tests {
             endpoint,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -2077,10 +1988,7 @@ mod tests {
             cells: vec![1, 0],
         });
         // A replica log and a standing registration become census facts.
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(9),
-            batch: vec![obs(1, 500, 100.0, 100.0)],
-        });
+        seed_replica(&mut worker, NodeId(9), vec![obs(1, 500, 100.0, 100.0)]);
         let predicate = Predicate {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)),
             class: None,
@@ -2206,13 +2114,14 @@ mod tests {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Primary data must NOT leak into replica reads.
-        worker.handle_request(Request::Ingest(vec![obs(90, 0, 500.0, 500.0)]));
+        seed(&mut worker, vec![obs(90, 0, 500.0, 500.0)]);
         let mut truck = obs(1, 0, 20.0, 20.0);
         truck.class = EntityClass::Truck;
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(7),
-            batch: vec![obs(0, 0, 10.0, 10.0), truck, obs(2, 80_000, 30.0, 30.0)],
-        });
+        seed_replica(
+            &mut worker,
+            NodeId(7),
+            vec![obs(0, 0, 10.0, 10.0), truck, obs(2, 80_000, 30.0, 30.0)],
+        );
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         let replica_read = |inner: Request| Request::ReplicaRead {
             of: NodeId(7),
@@ -2315,10 +2224,10 @@ mod tests {
         let (_fabric, mut worker) = lone_worker();
         worker.handle_request(Request::Ping);
         worker.handle_request(Request::Ping);
-        worker.handle_request(Request::Ingest(vec![obs(0, 0, 10.0, 10.0)]));
+        seed(&mut worker, vec![obs(0, 0, 10.0, 10.0)]);
         let stats = worker.stats();
         assert_eq!(stats.served_count("ping"), 2);
-        assert_eq!(stats.served_count("ingest"), 1);
+        assert_eq!(stats.served_count("ingest_seq"), 1);
         assert_eq!(stats.served_count("range"), 0);
     }
 
@@ -2326,11 +2235,14 @@ mod tests {
     fn top_cells_reports_sparse_nonzero_buckets() {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 0, 10.0, 10.0),   // cell (0, 0)
-            obs(1, 0, 10.0, 15.0),   // cell (0, 0)
-            obs(2, 0, 910.0, 910.0), // cell (9, 9)
-        ]));
+        seed(
+            &mut worker,
+            vec![
+                obs(0, 0, 10.0, 10.0),   // cell (0, 0)
+                obs(1, 0, 10.0, 15.0),   // cell (0, 0)
+                obs(2, 0, 910.0, 910.0), // cell (9, 9)
+            ],
+        );
         let buckets = GridSpecMsg {
             origin: Point::new(0.0, 0.0),
             cell_size: 100.0,
@@ -2364,11 +2276,8 @@ mod tests {
         let a = obs(0, 100, 100.0, 100.0); // cell 0
         let b = obs(1, 200, 100.0, 150.0); // cell 0
         let c = obs(2, 300, 900.0, 900.0); // cell 3
-        worker.handle_request(Request::Ingest(vec![a.clone(), b.clone()]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(7),
-            batch: vec![c.clone()],
-        });
+        seed(&mut worker, vec![a.clone(), b.clone()]);
+        seed_replica(&mut worker, NodeId(7), vec![c.clone()]);
         match worker.handle_request(Request::CellDigest { grid: grid_2x2() }) {
             Response::Digests(report) => {
                 assert_eq!(report.primary.len(), 1);
@@ -2392,10 +2301,11 @@ mod tests {
     fn repair_overwrites_replica_log_cell_idempotently() {
         let (_fabric, mut worker) = lone_worker();
         // Stale copy in cell 0 of primary 4's log.
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(4),
-            batch: vec![obs(0, 100, 10.0, 10.0), obs(9, 100, 900.0, 900.0)],
-        });
+        seed_replica(
+            &mut worker,
+            NodeId(4),
+            vec![obs(0, 100, 10.0, 10.0), obs(9, 100, 900.0, 900.0)],
+        );
         // Stream the authoritative contents: truncate, then two chunks.
         let fresh = [obs(1, 100, 20.0, 20.0), obs(2, 100, 30.0, 30.0)];
         worker.handle_request(Request::Repair {
@@ -2420,16 +2330,13 @@ mod tests {
             truncate: false,
             batch: vec![fresh[1].clone()],
         });
-        match worker.handle_request(Request::SnapshotReplica { of: NodeId(4) }) {
-            Response::Observations(log) => {
-                let mut seqs: Vec<u64> = log.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                // Cell 0 replaced (seq 0 gone, 1 and 2 in); cell 3
-                // untouched (seq 9 kept).
-                assert_eq!(seqs, vec![1, 2, 9]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let seqs: Vec<u64> = replica_log(&worker, NodeId(4))
+            .iter()
+            .map(|o| o.id.seq())
+            .collect();
+        // Cell 0 replaced (seq 0 gone, 1 and 2 in); cell 3 untouched
+        // (seq 9 kept).
+        assert_eq!(seqs, vec![1, 2, 9]);
         // Truncating the stale-id namespace re-admits the removed id.
         worker.handle_request(Request::Repair {
             primary: NodeId(4),
@@ -2438,23 +2345,23 @@ mod tests {
             truncate: true,
             batch: vec![obs(0, 100, 10.0, 10.0)],
         });
-        match worker.handle_request(Request::SnapshotReplica { of: NodeId(4) }) {
-            Response::Observations(log) => {
-                let mut seqs: Vec<u64> = log.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                assert_eq!(seqs, vec![0, 9]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let seqs: Vec<u64> = replica_log(&worker, NodeId(4))
+            .iter()
+            .map(|o| o.id.seq())
+            .collect();
+        assert_eq!(seqs, vec![0, 9]);
     }
 
     #[test]
     fn repair_to_self_overwrites_primary_cell() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 100, 10.0, 10.0),   // cell 0 — to be replaced
-            obs(9, 100, 900.0, 900.0), // cell 3 — untouched
-        ]));
+        seed(
+            &mut worker,
+            vec![
+                obs(0, 100, 10.0, 10.0),   // cell 0 — to be replaced
+                obs(9, 100, 900.0, 900.0), // cell 3 — untouched
+            ],
+        );
         worker.handle_request(Request::Repair {
             primary: NodeId(1), // == self: primary shard path
             grid: grid_2x2(),
@@ -2491,11 +2398,8 @@ mod tests {
     #[test]
     fn rejoin_resets_all_state_and_installs_route() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![obs(0, 100, 10.0, 10.0)]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(4),
-            batch: vec![obs(1, 100, 20.0, 20.0)],
-        });
+        seed(&mut worker, vec![obs(0, 100, 10.0, 10.0)]);
+        seed_replica(&mut worker, NodeId(4), vec![obs(1, 100, 20.0, 20.0)]);
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
             predicate: Predicate {
@@ -2553,7 +2457,6 @@ mod tests {
             worker_ep,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -2570,11 +2473,11 @@ mod tests {
         let resp = client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(big)),
+                encode_to_vec(&seed_request(big)),
                 StdDuration::from_secs(10),
             )
             .unwrap();
-        assert_eq!(decode_from_slice::<Response>(&resp).unwrap(), Response::Ack);
+        assert_acked(decode_from_slice::<Response>(&resp).unwrap(), 5_000);
         let stats_bytes = client
             .call(
                 NodeId(1),
@@ -2601,7 +2504,6 @@ mod tests {
             worker_ep,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -2628,7 +2530,6 @@ mod tests {
             worker_ep,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads: 0,
             },
         );
@@ -2654,7 +2555,6 @@ mod tests {
             worker_ep,
             WorkerConfig {
                 index: index_config(),
-                replicas: vec![],
                 read_threads,
             },
         );
@@ -2671,11 +2571,11 @@ mod tests {
         let resp = client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(rows)),
+                encode_to_vec(&seed_request(rows)),
                 StdDuration::from_secs(10),
             )
             .unwrap();
-        assert_eq!(decode_from_slice::<Response>(&resp).unwrap(), Response::Ack);
+        assert_acked(decode_from_slice::<Response>(&resp).unwrap(), n as usize);
         (client, handle)
     }
 
@@ -2747,11 +2647,14 @@ mod tests {
     #[test]
     fn range_limit_and_projection_push_down() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(3, 100, 10.0, 10.0),
-            obs(1, 200, 11.0, 11.0),
-            obs(2, 300, 12.0, 12.0),
-        ]));
+        seed(
+            &mut worker,
+            vec![
+                obs(3, 100, 10.0, 10.0),
+                obs(1, 200, 11.0, 11.0),
+                obs(2, 300, 12.0, 12.0),
+            ],
+        );
         let region = BBox::new(Point::ORIGIN, Point::new(50.0, 50.0));
         // Per-shard limit keeps the lowest-id rows.
         match worker.handle_request(Request::Range {
@@ -2835,7 +2738,7 @@ mod tests {
         client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(more)),
+                encode_to_vec(&seed_request(more)),
                 StdDuration::from_secs(5),
             )
             .unwrap();

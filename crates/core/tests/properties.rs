@@ -107,8 +107,6 @@ proptest! {
         // Every Request variant the protocol defines.
         let requests = [
             Request::Ping,
-            Request::Ingest(batch.clone()),
-            Request::Replicate { primary: NodeId(node), batch: batch.clone() },
             Request::IngestSeq { sender: NodeId(node), seq, epoch, batch: batch.clone() },
             Request::ReplicateSeq { sender: NodeId(node), seq, primary: NodeId(node), batch: batch.clone() },
             Request::RouteUpdate { epoch, grid: buckets, cells: cells.clone() },
@@ -121,8 +119,6 @@ proptest! {
                 notify: NodeId(node),
             },
             Request::UnregisterContinuous(stcam::ContinuousQueryId(k as u64)),
-            Request::SnapshotReplica { of: NodeId(node) },
-            Request::Adopt(batch.clone()),
             Request::Stats,
             Request::EvictBefore { cutoff: Timestamp::from_millis(cutoff), epoch },
             Request::Promote { failed: NodeId(node), epoch },
@@ -158,7 +154,7 @@ proptest! {
             prop_assert!(names.insert(request.op_name()), "duplicate op name {}", request.op_name());
             prop_assert_eq!(decode_from_slice::<Request>(&bytes).unwrap(), request);
         }
-        prop_assert_eq!(names.len(), 28);
+        prop_assert_eq!(names.len(), 24);
     }
 
     #[test]

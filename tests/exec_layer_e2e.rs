@@ -142,8 +142,9 @@ fn lossy_link_read_succeeds_via_retry_where_single_shot_fails() {
             .with_link(lossy),
     )
     .unwrap();
-    // Ingest over a lossy fabric is fire-and-forget; tolerate partial
-    // delivery — this test is about query-path retry, not ingest.
+    // Acked ingest may park batches it cannot get acknowledged under this
+    // loss rate; tolerate partial delivery — this test is about
+    // query-path retry, not ingest.
     let batch: Vec<Observation> = (0..100)
         .map(|i| obs(i, (i as f64 * 37.0) % 1600.0, (i as f64 * 53.0) % 1600.0))
         .collect();
