@@ -32,6 +32,8 @@
 //! projection blanked them before shipping), in which case flag bit 1
 //! elides the whole column and the decoder refills zeros.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut};
 use stcam_codec::{varint, DecodeError, Wire, MAX_SEQ_LEN};
 use stcam_geo::{Point, Timestamp};
@@ -172,12 +174,16 @@ pub fn encode_batch<B: BufMut>(batch: &[Observation], buf: &mut B) {
         }
     }
 
-    // signatures: raw, elided entirely when all-zero.
+    // signatures: raw, elided entirely when all-zero. One bulk append
+    // per row instead of 16 four-byte ones; the column dominates the
+    // frame.
     if !no_signatures {
         for obs in batch {
-            for &v in obs.signature.values() {
-                buf.put_f32_le(v);
+            let mut raw = [0u8; 4 * SIGNATURE_DIM];
+            for (c, v) in raw.chunks_exact_mut(4).zip(obs.signature.values()) {
+                c.copy_from_slice(&v.to_le_bytes());
             }
+            buf.put_slice(&raw);
         }
     }
 
@@ -523,6 +529,121 @@ pub fn decode_batch_filtered<B: Buf>(
     Ok(n)
 }
 
+/// The exact encoded size of a batch frame, grown one row at a time
+/// without encoding anything: it mirrors [`encode_batch`]'s layout column
+/// by column. Every column only grows when a row is appended (a
+/// fixed-point position is never wider than the 16 raw bytes it
+/// replaces), so the size is monotone in the row count.
+#[derive(Debug, Clone, Copy)]
+struct FrameSize {
+    rows: usize,
+    /// Id, time and truth columns plus every closed camera run.
+    varints: usize,
+    run_len: u64,
+    run_camera: u32,
+    /// Fixed-point position column; `None` once a row is not exactly
+    /// representable, which switches the whole frame to raw `f64`.
+    fixed_positions: Option<usize>,
+    zero_signatures: bool,
+    last_id: u64,
+    last_ms: u64,
+}
+
+impl FrameSize {
+    const EMPTY: FrameSize = FrameSize {
+        rows: 0,
+        varints: 0,
+        run_len: 0,
+        run_camera: 0,
+        fixed_positions: Some(0),
+        zero_signatures: true,
+        last_id: 0,
+        last_ms: 0,
+    };
+
+    fn push(&mut self, obs: &Observation) {
+        let (id, ms) = (obs.id.0, obs.time.as_millis());
+        if self.rows == 0 {
+            self.varints += varint::len_u64(id) + varint::len_u64(ms);
+            (self.run_len, self.run_camera) = (1, obs.camera.0);
+        } else {
+            self.varints += zigzag_len(id.wrapping_sub(self.last_id))
+                + zigzag_len(ms.wrapping_sub(self.last_ms));
+            if obs.camera.0 == self.run_camera {
+                self.run_len += 1;
+            } else {
+                self.varints +=
+                    varint::len_u64(self.run_len) + varint::len_u64(u64::from(self.run_camera));
+                (self.run_len, self.run_camera) = (1, obs.camera.0);
+            }
+        }
+        if let Some(entity) = obs.truth {
+            self.varints += zigzag_len(entity.0.wrapping_sub(obs.id.seq()));
+        }
+        self.fixed_positions = self.fixed_positions.and_then(|sum| {
+            let x = fixed_point(obs.position.x)?;
+            let y = fixed_point(obs.position.y)?;
+            Some(sum + zigzag_len(x as u64) + zigzag_len(y as u64))
+        });
+        self.zero_signatures &= obs.signature.values().iter().all(|v| v.to_bits() == 0);
+        (self.last_id, self.last_ms) = (id, ms);
+        self.rows += 1;
+    }
+
+    fn len(&self) -> usize {
+        let n = self.rows;
+        if n == 0 {
+            return 1;
+        }
+        let positions = self.fixed_positions.unwrap_or(16 * n);
+        let signatures = if self.zero_signatures {
+            0
+        } else {
+            4 * SIGNATURE_DIM * n
+        };
+        varint::len_u64(n as u64)
+            + 1
+            + self.varints
+            + varint::len_u64(self.run_len)
+            + varint::len_u64(u64::from(self.run_camera))
+            + n.div_ceil(4)
+            + positions
+            + signatures
+            + n.div_ceil(8)
+    }
+}
+
+/// Width of a wrapping delta written as a zigzag varint.
+fn zigzag_len(delta: u64) -> usize {
+    varint::len_u64(varint::zigzag(delta as i64))
+}
+
+/// Splits `batch` into consecutive row ranges whose batch frames each
+/// encode to at most `max_bytes` (a range holds a single row only when
+/// that row alone is larger), paired with each frame's exact encoded
+/// size. Boundaries come from one sizing pass over the rows, nothing is
+/// encoded, and every range is as long as the bound allows, so no split
+/// into contiguous frames under the bound has fewer ranges. An empty
+/// batch is one empty range.
+pub fn split_batch(batch: &[Observation], max_bytes: usize) -> Vec<(Range<usize>, usize)> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    let mut size = FrameSize::EMPTY;
+    for (i, obs) in batch.iter().enumerate() {
+        let mut grown = size;
+        grown.push(obs);
+        if grown.len() > max_bytes && size.rows > 0 {
+            ranges.push((start..i, size.len()));
+            start = i;
+            grown = FrameSize::EMPTY;
+            grown.push(obs);
+        }
+        size = grown;
+    }
+    ranges.push((start..batch.len(), size.len()));
+    ranges
+}
+
 /// A rough upper bound on the encoded size of `batch`, for buffer
 /// pre-reservation. Assumes the common case (raw positions, small
 /// deltas); never consulted for correctness.
@@ -714,6 +835,33 @@ mod tests {
             v
         });
         round_trip(negzero);
+    }
+
+    #[test]
+    fn split_sizes_are_exact_and_within_the_bound() {
+        // Camera runs, truth gaps, a non-representable position and
+        // blanked signatures all change the frame layout mid-batch.
+        let mut rows: Vec<Observation> = (0..600u64)
+            .map(|s| obs((s / 7) as u32 % 5, s, s * 37, s as f64 * 0.5, 12.25))
+            .collect();
+        rows[250].position = Point::new(0.1, 3.0);
+        for row in &mut rows[400..] {
+            row.signature = Signature::new([0.0; SIGNATURE_DIM]);
+        }
+        for max in [1, 300, 2_000, 9_000, 1 << 20] {
+            let ranges = split_batch(&rows, max);
+            let mut next = 0;
+            for (range, len) in ranges {
+                assert_eq!(range.start, next, "ranges must tile the batch in order");
+                next = range.end;
+                let mut frame = Vec::new();
+                encode_batch(&rows[range.clone()], &mut frame);
+                assert_eq!(frame.len(), len, "size of {range:?} under {max}");
+                assert!(len <= max || range.len() == 1, "{len} B over {max}");
+            }
+            assert_eq!(next, rows.len());
+        }
+        assert_eq!(split_batch(&[], 100), vec![(0..0, 1)]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the camera-network layer.
 
 use proptest::prelude::*;
+use stcam_camnet::batch::{encode_batch, split_batch};
 use stcam_camnet::{Camera, CameraId, CameraNetwork, Observation, Signature, TransitionModel};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, Duration, Point, Timestamp};
@@ -116,6 +117,50 @@ proptest! {
         };
         let bytes = encode_to_vec(&obs);
         prop_assert_eq!(decode_from_slice::<Observation>(&bytes).expect("decode"), obs);
+    }
+
+    #[test]
+    fn batch_split_sizes_match_encoding(
+        rows in prop::collection::vec(
+            (0u32..3, any::<u64>(), any::<u64>(), any::<bool>(), -1e7..1e7f64,
+             any::<bool>(), proptest::option::of(any::<u64>())),
+            0..120,
+        ),
+        max in 1usize..6_000,
+    ) {
+        // Grid-aligned or arbitrary positions, blank or full signatures,
+        // arbitrary id/time/truth deltas: every layout choice the frame
+        // makes per batch.
+        let rows: Vec<Observation> = rows
+            .into_iter()
+            .map(|(cam, id, t, aligned, x, blank, truth)| Observation {
+                id: stcam_camnet::ObservationId(id),
+                camera: CameraId(cam),
+                time: Timestamp::from_millis(t),
+                position: if aligned {
+                    Point::new((x * 4.0).round() / 4.0, 8.5)
+                } else {
+                    Point::new(x, x / 3.0)
+                },
+                class: EntityClass::from_u8((id % 4) as u8).expect("class"),
+                signature: if blank {
+                    Signature::new([0.0; stcam_camnet::SIGNATURE_DIM])
+                } else {
+                    Signature::latent_for_entity(id)
+                },
+                truth: truth.map(EntityId),
+            })
+            .collect();
+        let mut covered = 0;
+        for (range, len) in split_batch(&rows, max) {
+            prop_assert_eq!(range.start, covered);
+            covered = range.end;
+            let mut frame = Vec::new();
+            encode_batch(&rows[range.clone()], &mut frame);
+            prop_assert_eq!(frame.len(), len);
+            prop_assert!(len <= max || range.len() <= 1);
+        }
+        prop_assert_eq!(covered, rows.len());
     }
 
     #[test]

@@ -12,17 +12,22 @@ use crate::DecodeError;
 /// Maximum encoded width of a `u64` varint.
 pub const MAX_VARINT_LEN: usize = 10;
 
-/// Appends `v` to `buf` as a LEB128 varint.
+/// Appends `v` to `buf` as a LEB128 varint, in one append whatever its
+/// width.
 pub fn write_u64<B: BufMut>(buf: &mut B, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+    if v < 0x80 {
+        buf.put_u8(v as u8);
+        return;
     }
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    while v >= 0x80 {
+        bytes[n] = (v as u8) | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    bytes[n] = v as u8;
+    buf.put_slice(&bytes[..=n]);
 }
 
 /// Reads a LEB128 varint from `buf`.
@@ -33,6 +38,30 @@ pub fn write_u64<B: BufMut>(buf: &mut B, mut v: u64) {
 /// terminating byte, and [`DecodeError::VarintOverflow`] when the encoding
 /// exceeds [`MAX_VARINT_LEN`] bytes or overflows 64 bits.
 pub fn read_u64<B: Buf>(buf: &mut B) -> Result<u64, DecodeError> {
+    // Fast path: the varint ends inside the contiguous front chunk, so
+    // it is read from a slice and consumed with one advance.
+    let chunk = buf.chunk();
+    let mut result = 0u64;
+    for (i, &byte) in chunk.iter().take(MAX_VARINT_LEN).enumerate() {
+        let low = (byte & 0x7F) as u64;
+        if i == MAX_VARINT_LEN - 1 && low > 1 {
+            return Err(DecodeError::VarintOverflow);
+        }
+        result |= low << (7 * i);
+        if byte & 0x80 == 0 {
+            buf.advance(i + 1);
+            return Ok(result);
+        }
+    }
+    if chunk.len() >= MAX_VARINT_LEN {
+        return Err(DecodeError::VarintOverflow);
+    }
+    read_u64_bytewise(buf)
+}
+
+/// [`read_u64`] one byte at a time, for a varint that runs past the
+/// front chunk (or past the end of the input).
+fn read_u64_bytewise<B: Buf>(buf: &mut B) -> Result<u64, DecodeError> {
     let mut result = 0u64;
     let mut shift = 0u32;
     loop {

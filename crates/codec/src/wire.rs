@@ -46,6 +46,30 @@ pub trait Wire: Sized {
     fn size_hint(&self) -> usize {
         16
     }
+
+    /// Appends the wire forms of `items` back to back, with no length
+    /// prefix: the element loop of the `Vec<T>` encoding. Byte-like
+    /// types override it with one bulk copy.
+    fn encode_slice<B: BufMut>(items: &[Self], buf: &mut B) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Reads `len` consecutive values: the element loop of the `Vec<T>`
+    /// decoding. Byte-like types override it with one bulk copy, which
+    /// must check that `len` bytes remain before allocating them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wire::decode`], on the first element that fails.
+    fn decode_seq<B: Buf>(buf: &mut B, len: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut out = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes `value` into a fresh byte vector sized from its
@@ -129,6 +153,15 @@ impl Wire for u8 {
     }
     fn size_hint(&self) -> usize {
         1
+    }
+    fn encode_slice<B: BufMut>(items: &[Self], buf: &mut B) {
+        buf.put_slice(items);
+    }
+    fn decode_seq<B: Buf>(buf: &mut B, len: usize) -> Result<Vec<Self>, DecodeError> {
+        need(buf, len, "byte sequence")?;
+        let mut out = vec![0u8; len];
+        buf.copy_to_slice(&mut out);
+        Ok(out)
     }
 }
 
@@ -227,9 +260,7 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         varint::write_u64(buf, self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
         let len = varint::read_u64(buf)?;
@@ -239,11 +270,7 @@ impl<T: Wire> Wire for Vec<T> {
                 max: MAX_SEQ_LEN,
             });
         }
-        let mut out = Vec::with_capacity((len as usize).min(1024));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_seq(buf, len as usize)
     }
     fn size_hint(&self) -> usize {
         // Elements of the hot collections (observations, counts) have

@@ -13,7 +13,43 @@ fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> Result<(), TestCa
     Ok(())
 }
 
+/// A byte that keeps the trait's per-element sequence loop, so
+/// `Vec<Byte>` encodes and decodes the way `Vec<u8>` did before `u8`
+/// gained its bulk slice hooks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Byte(u8);
+
+impl Wire for Byte {
+    fn encode<B: bytes::BufMut>(&self, buf: &mut B) {
+        self.0.encode(buf);
+    }
+    fn decode<B: bytes::Buf>(buf: &mut B) -> Result<Self, stcam_codec::DecodeError> {
+        u8::decode(buf).map(Byte)
+    }
+}
+
 proptest! {
+    #[test]
+    fn bulk_byte_vectors_match_the_per_element_form(
+        bytes in prop::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let per_element: Vec<Byte> = bytes.iter().copied().map(Byte).collect();
+        let bulk = encode_to_vec(&bytes);
+        prop_assert_eq!(&bulk, &encode_to_vec(&per_element));
+        let back: Vec<Byte> = decode_from_slice(&bulk).unwrap();
+        prop_assert_eq!(&back, &per_element);
+        let back: Vec<u8> = decode_from_slice(&encode_to_vec(&per_element)).unwrap();
+        prop_assert_eq!(&back, &bytes);
+        // Truncation fails the same way on both paths.
+        if !bulk.is_empty() {
+            let cut = &bulk[..bulk.len() - 1];
+            prop_assert_eq!(
+                decode_from_slice::<Vec<u8>>(cut).is_err(),
+                decode_from_slice::<Vec<Byte>>(cut).is_err()
+            );
+        }
+    }
+
     #[test]
     fn varint_round_trip(v in any::<u64>()) {
         let mut buf = BytesMut::new();

@@ -957,11 +957,17 @@ impl Executor {
     /// pulls the remaining pages from the same node and reassembles the
     /// unpaged response; any other response passes through untouched.
     ///
+    /// Every pull is started before any is awaited, and page 0 decodes
+    /// while they are in flight, so a paged result costs about one extra
+    /// round trip whatever its page count. The waits share one deadline:
+    /// a lost pull costs one `policy.timeout`, not one per page.
+    ///
     /// A pull that fails surfaces as the transport error it is, so an
     /// idempotent operation's retry loop re-issues the whole sub-query —
     /// the worker's page store keeps every page (page 0 included) parked
     /// under the cursor, and re-parking under a fresh cursor on retry is
-    /// harmless.
+    /// harmless. Pulls still in flight when one fails are dropped
+    /// unawaited, which releases their pending-call entries.
     fn collect_pages(
         &self,
         node: NodeId,
@@ -979,15 +985,21 @@ impl Executor {
         else {
             return Ok(response);
         };
-        let mut payloads = Vec::with_capacity(pages as usize);
-        payloads.push(payload);
-        for page in 1..pages {
-            let request = encode_to_vec(&Request::FetchPage { cursor, page });
-            tally.sent(request.len());
-            let bytes = self
-                .endpoint
-                .call(node, request, policy.timeout)
-                .map_err(StcamError::from)?;
+        let deadline = Instant::now() + policy.timeout;
+        let pulls: Vec<_> = (1..pages)
+            .map(|page| {
+                let request = encode_to_vec(&Request::FetchPage { cursor, page });
+                tally.sent(request.len());
+                (page, self.endpoint.call_start(node, request))
+            })
+            .collect();
+        let mut result = paging::Reassembly::new(kind)?;
+        result.push(&payload)?;
+        for (page, call) in pulls {
+            let bytes = call.and_then(|call| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                self.endpoint.call_wait(call, left)
+            })?;
             tally.received(bytes.len());
             match decode_from_slice::<Response>(&bytes)? {
                 Response::ResultPage {
@@ -996,7 +1008,7 @@ impl Executor {
                     kind: k,
                     payload,
                     ..
-                } if c == cursor && p == page && k == kind => payloads.push(payload),
+                } if c == cursor && p == page && k == kind => result.push(&payload)?,
                 // A worker answers FetchPage with an error only when the
                 // cursor was evicted under churn (or the page index is
                 // stale) — the result is gone, not wrong. Surface it as
@@ -1011,7 +1023,7 @@ impl Executor {
                 }
             }
         }
-        paging::reassemble(kind, &payloads).map_err(StcamError::from)
+        Ok(result.finish())
     }
 }
 
@@ -2394,6 +2406,152 @@ mod tests {
         assert_eq!(stats.failures, 0);
         assert!(stats.bytes_sent > 0);
         assert!(stats.bytes_received > 0);
+    }
+
+    /// How [`paging_worker`] answers one page pull.
+    enum Pull {
+        Serve,
+        /// Serve after this delay (the worker thread sleeps).
+        Late(StdDuration),
+        Evicted,
+        Silent,
+    }
+
+    /// A worker serving `rows` as a paged range result: every `Range`
+    /// parks the pages under a fresh cursor (1, 2, …) and answers page
+    /// 0; a `FetchPage` is answered as `pull(cursor, page)` says.
+    fn paging_worker(
+        fabric: &Fabric,
+        rows: &[Observation],
+        pull: impl Fn(u64, u32) -> Pull + Send + 'static,
+    ) -> (
+        std::sync::Arc<std::sync::atomic::AtomicBool>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let ep = fabric.register(NodeId(1));
+        let (kind, pages) =
+            paging::pages_for(&Response::Observations(rows.to_vec())).expect("rows must page");
+        assert!(
+            pages.len() >= 4,
+            "want several pulls, got {} pages",
+            pages.len()
+        );
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop_worker = std::sync::Arc::clone(&stop);
+        let worker = std::thread::spawn(move || {
+            let mut cursor = 0;
+            let page_reply = |cursor, page: u32| Response::ResultPage {
+                cursor,
+                page,
+                pages: pages.len() as u32,
+                kind,
+                payload: pages[page as usize].clone(),
+            };
+            while !stop_worker.load(Ordering::Relaxed) {
+                let Some(env) = ep.recv_timeout(StdDuration::from_millis(10)) else {
+                    continue;
+                };
+                let response = match decode_from_slice::<Request>(&env.payload).unwrap() {
+                    Request::Range { .. } => {
+                        cursor += 1;
+                        page_reply(cursor, 0)
+                    }
+                    Request::FetchPage { cursor, page } => match pull(cursor, page) {
+                        Pull::Serve => page_reply(cursor, page),
+                        Pull::Late(delay) => {
+                            std::thread::sleep(delay);
+                            page_reply(cursor, page)
+                        }
+                        Pull::Evicted => Response::Error(format!("unknown page cursor {cursor}")),
+                        Pull::Silent => continue,
+                    },
+                    other => panic!("unexpected {other:?}"),
+                };
+                let _ = ep.reply(&env, encode_to_vec(&response));
+            }
+        });
+        (stop, worker)
+    }
+
+    fn whole_extent_range() -> RangeOp {
+        RangeOp {
+            region: BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
+            window: window(),
+            limit: 0,
+            projection: 0,
+        }
+    }
+
+    #[test]
+    fn evicted_cursor_during_parallel_pulls_retries_to_the_exact_answer() {
+        // The first cursor loses its pages after page 1 has been pulled
+        // (as an eviction under churn would); the retry parks cursor 2,
+        // which serves every page.
+        let rows: Vec<Observation> = (0..4000).map(|s| obs(s, s as f64 / 4.0)).collect();
+        let fabric = Fabric::new(LinkModel::instant());
+        let (stop, worker) = paging_worker(&fabric, &rows, |cursor, page| {
+            if cursor == 1 && page >= 2 {
+                Pull::Evicted
+            } else {
+                Pull::Serve
+            }
+        });
+        let exec = Executor::new(
+            fabric.register(NodeId(0)),
+            OpPolicy {
+                timeout: StdDuration::from_secs(2),
+                max_attempts: 3,
+                backoff: StdDuration::ZERO,
+            },
+        );
+        let (partition, alive) = one_worker_world();
+        let result = exec.execute(whole_extent_range(), &partition, &alive);
+        stop.store(true, Ordering::Relaxed);
+        worker.join().unwrap();
+        assert_eq!(result.expect("retry must recover the read"), rows);
+        let stats = exec.stats_for("range");
+        assert_eq!((stats.retries, stats.failures), (1, 0));
+        assert_eq!(exec.endpoint().pending_calls(), 0);
+    }
+
+    #[test]
+    fn worker_dying_after_page_zero_fails_within_one_timeout() {
+        // Page 0 arrives; page 1 comes back late, and then the worker
+        // answers nothing more. The pulls share one deadline, so the
+        // sub-query fails one timeout after page 0 — a fresh timeout per
+        // wait would run past it to `late + timeout`.
+        let rows: Vec<Observation> = (0..4000).map(|s| obs(s, s as f64 / 4.0)).collect();
+        let timeout = StdDuration::from_millis(500);
+        let late = timeout * 3 / 5;
+        let fabric = Fabric::new(LinkModel::instant());
+        let (stop, worker) = paging_worker(&fabric, &rows, move |_, page| {
+            if page == 1 {
+                Pull::Late(late)
+            } else {
+                Pull::Silent
+            }
+        });
+        let exec = Executor::new(
+            fabric.register(NodeId(0)),
+            OpPolicy {
+                timeout,
+                max_attempts: 1,
+                backoff: StdDuration::ZERO,
+            },
+        );
+        let (partition, alive) = one_worker_world();
+        let started = Instant::now();
+        let result = exec.execute(whole_extent_range(), &partition, &alive);
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        worker.join().unwrap();
+        assert!(matches!(result, Err(StcamError::Net(NetError::Timeout))));
+        assert!(
+            elapsed >= timeout && elapsed < timeout + late / 2,
+            "failed after {elapsed:?} with a {timeout:?} timeout"
+        );
+        // The unanswered pulls were dropped, not left pending.
+        assert_eq!(exec.endpoint().pending_calls(), 0);
     }
 
     #[test]

@@ -538,7 +538,7 @@ pub struct WorkerStatsMsg {
     /// interest index — a size signal for the sub-linear matcher.
     pub interest_buckets: u64,
     /// Cumulative microseconds this worker has spent executing requests
-    /// (its "busy time"). On a single-core host, wall-clock numbers do
+    /// and encoding their replies, paging included (its "busy time"). On a single-core host, wall-clock numbers do
     /// not show parallel speedup; the evaluation instead reports the
     /// critical path — the busiest shard's busy time — which is what a
     /// multi-machine deployment's latency would track.

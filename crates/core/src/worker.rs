@@ -114,7 +114,9 @@ struct ParkedPages {
 struct ReadShared {
     /// Requests served, keyed by operation name (both lanes).
     served: Mutex<HashMap<&'static str, u64>>,
-    /// Cumulative request execution time across both lanes, microseconds.
+    /// Cumulative request time across both lanes, microseconds: from
+    /// the start of execution until the reply (paged and encoded) is on
+    /// the wire.
     busy_micros: AtomicU64,
     /// Parked pages of oversize results, keyed by cursor (cursors are
     /// allocated in increasing order, so the smallest key is the oldest).
@@ -318,8 +320,8 @@ impl ReadPool {
                             let started = std::time::Instant::now();
                             shared.count(job.request.op_name());
                             let response = execute_read(&job.view, &shared, job.request);
-                            shared.record_busy(started.elapsed());
                             reply_paged(&endpoint, &shared, &job.envelope, response);
+                            shared.record_busy(started.elapsed());
                         }
                     })
                     .expect("spawn read executor thread")
@@ -541,8 +543,8 @@ impl Worker {
     fn dispatch_decoded(&mut self, envelope: Envelope, request: Request) {
         let started = std::time::Instant::now();
         let response = self.handle_request(request);
-        self.shared.record_busy(started.elapsed());
         reply_paged(&self.endpoint, &self.shared, &envelope, response);
+        self.shared.record_busy(started.elapsed());
     }
 
     /// Executes one request against local state and produces the response.
@@ -2632,7 +2634,11 @@ mod tests {
                 other => panic!("unexpected response {other:?}"),
             }
         }
-        match crate::paging::reassemble(kind, &payloads).unwrap() {
+        let mut result = crate::paging::Reassembly::new(kind).unwrap();
+        for payload in &payloads {
+            result.push(payload).unwrap();
+        }
+        match result.finish() {
             Response::Observations(rows) => {
                 assert_eq!(rows.len(), 4_000);
                 let seqs: std::collections::HashSet<u64> =

@@ -475,9 +475,10 @@ impl Endpoint {
     /// is how a scatter overlaps its round trips on one thread — start
     /// every sub-query first, then wait for each in turn.
     ///
-    /// A started call whose response is never waited for leaks its
-    /// correlation entry only until the response (or nothing — a lost
-    /// frame's entry is reclaimed on [`call_wait`](Self::call_wait) timeout) arrives.
+    /// Dropping the returned call without waiting for it releases its
+    /// correlation entry, so a caller that gives up on a batch of
+    /// started calls leaves nothing behind in the pending table; a late
+    /// response to it is discarded.
     ///
     /// # Errors
     ///
@@ -503,6 +504,7 @@ impl Endpoint {
             to,
             correlation,
             rx,
+            pending: Arc::clone(&self.pending),
         })
     }
 
@@ -514,13 +516,7 @@ impl Endpoint {
     /// [`NetError::Timeout`] when no response arrives in time (the
     /// request or response may have been lost, or the peer crashed).
     pub fn call_wait(&self, call: PendingCall, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let result = match call.rx.recv_timeout(timeout) {
-            Ok(response) => Ok(response),
-            Err(_) => {
-                self.pending.lock().remove(&call.correlation);
-                Err(NetError::Timeout)
-            }
-        };
+        let result = call.rx.recv_timeout(timeout).map_err(|_| NetError::Timeout);
         let observer = self.observer.lock().clone();
         if let Some(observer) = observer {
             observer(call.to, result.is_ok());
@@ -604,16 +600,40 @@ impl Endpoint {
     pub fn stats(&self) -> NodeStats {
         self.counters.snapshot()
     }
+
+    /// Started calls still awaiting a response: neither answered nor
+    /// dropped. Zero whenever no call is in flight, which is how tests
+    /// check that an operation abandoned nothing.
+    pub fn pending_calls(&self) -> usize {
+        self.pending.lock().len()
+    }
 }
 
 /// A request in flight: created by [`Endpoint::call_start`], resolved by
 /// [`Endpoint::call_wait`]. Holding one does not block anything — the
-/// response waits in a buffered channel until claimed.
-#[derive(Debug)]
+/// response waits in a buffered channel until claimed. Dropping it
+/// (waited for or not) removes its entry from the endpoint's pending
+/// table.
 pub struct PendingCall {
     to: NodeId,
     correlation: u64,
     rx: Receiver<Vec<u8>>,
+    pending: Arc<Mutex<HashMap<u64, Sender<Vec<u8>>>>>,
+}
+
+impl std::fmt::Debug for PendingCall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingCall")
+            .field("to", &self.to)
+            .field("correlation", &self.correlation)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for PendingCall {
+    fn drop(&mut self) {
+        self.pending.lock().remove(&self.correlation);
+    }
 }
 
 /// Correlation value marking a local wake envelope (never produced by
@@ -901,6 +921,35 @@ mod tests {
         // Local submission errors (unknown peer) must not blame the peer.
         let _ = client.call(NodeId(9), vec![], Duration::from_millis(30));
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), false)]);
+    }
+
+    #[test]
+    fn pending_calls_are_released_when_answered_timed_out_or_dropped() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let answered = client.call_start(NodeId(1), b"a".to_vec()).unwrap();
+        let lost = client.call_start(NodeId(1), b"b".to_vec()).unwrap();
+        let abandoned = client.call_start(NodeId(1), b"c".to_vec()).unwrap();
+        assert_eq!(client.pending_calls(), 3);
+        let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+        server.reply(&req, b"ok".to_vec()).unwrap();
+        assert_eq!(
+            client.call_wait(answered, Duration::from_secs(5)).unwrap(),
+            b"ok"
+        );
+        assert_eq!(
+            client.call_wait(lost, Duration::from_millis(10)),
+            Err(NetError::Timeout)
+        );
+        assert_eq!(client.pending_calls(), 1);
+        drop(abandoned);
+        assert_eq!(client.pending_calls(), 0);
+        // A late reply to the abandoned call is discarded harmlessly.
+        let _ = server.recv_timeout(Duration::from_secs(5)).unwrap();
+        let late = server.recv_timeout(Duration::from_secs(5)).unwrap();
+        server.reply(&late, b"late".to_vec()).unwrap();
+        assert_eq!(client.pending_calls(), 0);
     }
 
     #[test]
